@@ -62,8 +62,10 @@ from .supervisor import RetryPolicy, ShardOutcome, SupervisedPool
 
 __all__ = ["CampaignEngine", "EngineReport", "RetryPolicy", "run_campaign"]
 
-#: Shards per worker process: more shards than workers smooths load balance
-#: and tightens checkpoint granularity without measurable overhead.
+#: Shards per worker process on the flat path, where the shard is the
+#: checkpoint unit: more shards than workers smooths load balance and
+#: tightens checkpoint granularity.  Sequential rounds run one shard per
+#: worker (see :meth:`CampaignEngine._run_sequential`).
 SHARDS_PER_JOB = 4
 
 #: Minimum seconds between mid-run partial-checkpoint writes.  Checkpoints
@@ -452,11 +454,16 @@ class CampaignEngine:
         Optional pre-built environment for the calling process, e.g. when
         the caller needs the same netlist/golden trace for feature
         extraction.  Workers always rebuild their own from the spec.
+    shards_per_job:
+        Flat campaigns split their buckets into ``jobs × shards_per_job``
+        shards (default :data:`SHARDS_PER_JOB`).  Sequential rounds ignore
+        it and run one shard per worker.
     progress:
-        ``progress(done_shards, total_shards)`` callback.  Throttled to at
-        most one call per *progress_interval* seconds (plus, always, the
-        final ``(total, total)`` call); the same throttle drives the
-        telemetry ``progress`` events the live sink renders.
+        ``progress(done_shards, total_shards)`` callback (per round for
+        sequential campaigns).  Throttled to at most one call per
+        *progress_interval* seconds (plus, always, the final
+        ``(total, total)`` call); the same throttle drives the telemetry
+        ``progress`` events the live sink renders.
     progress_interval:
         Minimum seconds between forwarded progress notifications
         (default 0.1); ``0`` restores the historical call-per-shard
@@ -533,7 +540,13 @@ class CampaignEngine:
         so a divergent context would silently poison both."""
         from ..faultinjection.classify import AnyOutputCriterion, PacketInterfaceCriterion
 
-        if context.netlist.name != self.spec.circuit:
+        if context.circuit is not None:
+            if context.circuit != self.spec.circuit:
+                raise ValueError(
+                    f"context built for circuit {context.circuit!r} does not "
+                    f"match spec circuit {self.spec.circuit!r}"
+                )
+        elif context.netlist.name != self.spec.circuit:
             raise ValueError(
                 f"context netlist {context.netlist.name!r} does not match "
                 f"spec circuit {self.spec.circuit!r}"
@@ -751,18 +764,21 @@ class CampaignEngine:
         ``k <= n <= consumed`` that keeps draw indices single-use even when
         gating skips scheduled draws.
 
-        Results are deterministic for a fixed ``(seed, jobs,
-        shards_per_job)``; unlike the flat path they may vary with the shard
-        partition, because gating decisions depend on shard-local verdict
-        order.  ``target_margin=0.0`` never retires anything and reproduces
-        the flat counters bit-for-bit.
+        Each round is cut into ``min(jobs, buckets)`` shards — one trace
+        sweep per worker; ``shards_per_job`` applies to the flat path only.
+        Results are therefore deterministic for a fixed ``(seed, jobs)``;
+        unlike the flat path they may vary with ``jobs``, because gating
+        decisions depend on shard-local verdict order.
+        ``target_margin=0.0`` never retires anything and reproduces the
+        flat counters bit-for-bit.
 
         Shards run through the same :class:`SupervisedPool` as the flat
         path (one supervisor — and one warm worker pool — for the whole
-        campaign).  A quarantined shard's draws are *abandoned*: their
-        ``consumed`` indices advance without executing, so the policy draws
-        fresh replacement indices next round instead of re-allocating the
-        poisoned ranges forever.
+        campaign) and report the same throttled ``progress`` events, each
+        tagged with its ``round``.  A quarantined shard's draws are
+        *abandoned*: their ``consumed`` indices advance without executing,
+        so the policy draws fresh replacement indices next round instead of
+        re-allocating the poisoned ranges forever.
         """
         start_time = self._run_start = time.monotonic()
         spec = self.spec
@@ -865,12 +881,17 @@ class CampaignEngine:
                 buckets = stream_buckets_ranged(spec, window, allocation)
                 if not buckets:
                     break
-                n_shards = min(len(buckets), max(1, self.jobs * self.shards_per_job))
-                shards = partition_shards(buckets, n_shards)
+                # One shard per worker: a shard's cost is the trace cycles it
+                # sweeps times its lane width, not its injection count, so
+                # every extra shard re-sweeps the trace.  Checkpoints are
+                # per round, so smaller shards would buy no resume
+                # granularity either.
+                shards = partition_shards(buckets, min(len(buckets), self.jobs))
                 report.n_shards += len(shards)
                 tasks = [[(b.cycle, b.lanes) for b in shard] for shard in shards]
                 snapshot = {name: list(rec) for name, rec in tallies.items()}
                 payload_tasks = [(task, snapshot) for task in tasks]
+                throttled = self._progress_throttle(report, round_no=report.rounds)
                 done_in_round = 0
                 for outcome in sup.run(payload_tasks):
                     done_in_round += 1
@@ -887,8 +908,7 @@ class CampaignEngine:
                                 tallies[name][2] += 1
                                 abandoned += 1
                         registry.counter("robustness.abandoned_draws").inc(abandoned)
-                        if self.progress is not None:
-                            self.progress(done_in_round, len(tasks))
+                        throttled(done_in_round, len(tasks))
                         continue
                     payload = outcome.payload
                     self._decode_ff(payload)
@@ -915,8 +935,7 @@ class CampaignEngine:
                     for name, count in payload.get("skipped", {}).items():
                         tallies[name][2] += count
                         registry.counter("policy.shard_skips").inc(count)
-                    if self.progress is not None:
-                        self.progress(done_in_round, len(tasks))
+                    throttled(done_in_round, len(tasks))
                 self._policy_checkpoint(signature, tallies, accum)
                 safe_tallies = {name: list(rec) for name, rec in tallies.items()}
                 safe_accum = _Accumulator.from_payload(accum.to_payload())
@@ -994,6 +1013,50 @@ class CampaignEngine:
 
     # ------------------------------------------------------------ execution
 
+    def _progress_throttle(
+        self, report: EngineReport, round_no: Optional[int] = None
+    ) -> ProgressThrottle:
+        """Throttled ``(done_shards, total_shards)`` notifier for one batch
+        of shards (the flat campaign, or one sequential round).
+
+        Each forwarded call updates the ``campaign.injections_per_sec``
+        gauge, emits a telemetry ``progress`` event with the batch's rate
+        and ETA (tagged with *round_no* for sequential rounds) and invokes
+        the caller's ``progress`` callback.
+        """
+        telemetry = get_telemetry()
+        registry = telemetry.registry
+        start = time.monotonic()
+        lanes_before = report.executed_lanes
+
+        def notify(done_shards: int, total_shards: int) -> None:
+            elapsed = time.monotonic() - start
+            lanes = report.executed_lanes - lanes_before
+            rate = lanes / elapsed if elapsed > 0 else 0.0
+            if rate > 0:
+                registry.gauge("campaign.injections_per_sec").set(rate)
+            if telemetry.active:
+                remaining = total_shards - done_shards
+                event = {
+                    "event": "progress",
+                    "scope": "campaign",
+                    "unit": "shards",
+                    "done": done_shards,
+                    "total": total_shards,
+                    "injections": report.executed_lanes,
+                    "injections_per_sec": rate,
+                    "eta_seconds": (
+                        remaining * elapsed / done_shards if done_shards else None
+                    ),
+                }
+                if round_no is not None:
+                    event["round"] = round_no
+                telemetry.emit(event)
+            if self.progress is not None:
+                self.progress(done_shards, total_shards)
+
+        return ProgressThrottle(notify, min_interval=self.progress_interval)
+
     def _consume(
         self,
         outcomes: Iterable[ShardOutcome],
@@ -1003,35 +1066,8 @@ class CampaignEngine:
         report: EngineReport,
         base_n: int,
     ) -> None:
-        telemetry = get_telemetry()
-        registry = telemetry.registry
-        start = time.monotonic()
-
-        def notify(done_shards: int, total_shards: int) -> None:
-            elapsed = time.monotonic() - start
-            rate = report.executed_lanes / elapsed if elapsed > 0 else 0.0
-            if rate > 0:
-                registry.gauge("campaign.injections_per_sec").set(rate)
-            if telemetry.active:
-                remaining = total_shards - done_shards
-                telemetry.emit(
-                    {
-                        "event": "progress",
-                        "scope": "campaign",
-                        "unit": "shards",
-                        "done": done_shards,
-                        "total": total_shards,
-                        "injections": report.executed_lanes,
-                        "injections_per_sec": rate,
-                        "eta_seconds": (
-                            remaining * elapsed / done_shards if done_shards else None
-                        ),
-                    }
-                )
-            if self.progress is not None:
-                self.progress(done_shards, total_shards)
-
-        throttled = ProgressThrottle(notify, min_interval=self.progress_interval)
+        registry = get_telemetry().registry
+        throttled = self._progress_throttle(report)
         done = 0
         for outcome in outcomes:
             done += 1

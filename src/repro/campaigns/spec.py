@@ -252,6 +252,10 @@ class CampaignContext:
     workload: Workload
     criterion: FailureCriterion
     golden: Optional[GoldenTrace] = field(default=None, repr=False)
+    #: The spec circuit name :func:`build_context` built this context for
+    #: (a generated preset's netlist carries its own structural name, e.g.
+    #: ``mesh_tiny`` → ``mesh2x4x8``); ``None`` for hand-built contexts.
+    circuit: Optional[str] = None
 
     @property
     def active_window(self) -> Tuple[int, int]:
@@ -313,4 +317,6 @@ def build_context(spec: CampaignSpec) -> CampaignContext:
         )
     else:
         criterion = AnyOutputCriterion.all_outputs(netlist)
-    return CampaignContext(netlist=netlist, workload=workload, criterion=criterion)
+    return CampaignContext(
+        netlist=netlist, workload=workload, criterion=criterion, circuit=spec.circuit
+    )

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 from typing import Optional, Tuple
-
-from scipy import stats
 
 __all__ = ["FdrEstimate", "wilson_interval", "required_sample_size"]
 
@@ -52,6 +52,16 @@ class FdrEstimate:
         return (high - low) / 2.0
 
 
+@lru_cache(maxsize=32)
+def _z(confidence: float) -> float:
+    """Two-sided standard-normal quantile for *confidence*.
+
+    Memoized: the sequential policy's shard gate asks for it once per lane
+    activation, always at the same confidence.
+    """
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -62,7 +72,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Tu
         return (0.0, 1.0)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2 * trials)) / denom
@@ -113,7 +123,7 @@ def required_sample_size(
         raise ValueError("confidence must be in (0, 1)")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z(confidence)
     base = z * z * p * (1 - p) / (margin * margin)
     if population is None:
         return max(1, math.ceil(base))

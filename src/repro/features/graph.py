@@ -25,11 +25,12 @@ suite asserts both engines agree exactly on every library circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Cell, Netlist
+
+if TYPE_CHECKING:  # networkx is imported lazily: only this reference path needs it
+    import networkx as nx
 
 __all__ = ["ConeSummary", "CircuitGraph"]
 
@@ -123,6 +124,8 @@ class CircuitGraph:
         return f"PO:{name}"
 
     def _build_ff_graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.ff_names)
         for name, cone in self.output_cones.items():
@@ -150,6 +153,8 @@ class CircuitGraph:
         strongly-connected-component condensation with bitset DP so the
         closure is near-linear in practice.
         """
+        import networkx as nx
+
         graph = self.ff_only_graph()
         condensed = nx.condensation(graph)
         order = list(nx.topological_sort(condensed))
@@ -208,6 +213,8 @@ class CircuitGraph:
         register boundary adds one (unit-weight shortest paths — Dijkstra on
         an unweighted graph reduces to BFS).
         """
+        import networkx as nx
+
         distances: Dict[str, List[int]] = {ff: [] for ff in self.ff_names}
         for net in self.netlist.inputs:
             if net in self._clock_nets:
@@ -223,6 +230,8 @@ class CircuitGraph:
 
     def po_stage_distances(self) -> Dict[str, List[int]]:
         """Per flip-flop: stage distances to every reachable primary output."""
+        import networkx as nx
+
         reversed_graph = self.ff_graph.reverse(copy=False)
         distances: Dict[str, List[int]] = {ff: [] for ff in self.ff_names}
         for net in self.netlist.outputs:
@@ -272,6 +281,8 @@ class CircuitGraph:
         True when the flip-flop's SCC has more than one member or it carries
         an explicit self-loop edge.
         """
+        import networkx as nx
+
         ff_graph = self.ff_only_graph()
         condensed = nx.condensation(ff_graph)
         result: Dict[str, bool] = {}

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..netlist.core import Cell, Netlist, NetlistError
 from .backend import PackedLaneMixin
-from .logic import broadcast, lane_mask
+from .logic import broadcast, gather_bits, lane_mask
 
 __all__ = [
     "CompiledSimulator",
@@ -457,10 +457,7 @@ class CompiledSimulator(PackedLaneMixin):
         primitive: surviving lanes gathered here and scattered into a
         narrower batch preserve their per-lane state exactly.
         """
-        out = 0
-        for j, lane in enumerate(lanes):
-            out |= ((vec >> lane) & 1) << j
-        return out
+        return gather_bits(vec, lanes, self.n_lanes)
 
     def scatter_lanes(self, vec: int, lanes: Sequence[int], bits: int) -> int:
         """Copy of *vec* with lane ``lanes[j]`` set to bit *j* of *bits*.

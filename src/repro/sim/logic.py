@@ -13,6 +13,7 @@ Two representations are used across the code base:
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from typing import Dict, Sequence, Tuple
 
 from ..netlist.cells import CellType
@@ -27,6 +28,7 @@ __all__ = [
     "lane_mask",
     "broadcast",
     "extract_lane",
+    "gather_bits",
     "popcount",
 ]
 
@@ -55,6 +57,26 @@ def broadcast(bit: int, mask: int) -> int:
 def extract_lane(value: int, lane: int) -> int:
     """Read one lane out of a bit-parallel value."""
     return (value >> lane) & 1
+
+
+def gather_bits(value: int, lanes: Sequence[int], width: int) -> int:
+    """Bit *j* of the result is lane ``lanes[j]`` of *value* (``value >= 0``).
+
+    The lane-compaction primitive, done with C-level string slicing instead
+    of a per-lane shift loop: *value* is rendered once as a binary string
+    (zero-padded to at least *width* — the vector's lane count — digits and
+    reversed so index = lane), one :func:`operator.itemgetter` call picks
+    the lanes' digits, and ``int(…, 2)`` packs them back.  Lanes at or
+    above *width* still read correctly (as *value*'s bits, or 0).
+    """
+    if not lanes:
+        return 0
+    digits = format(value, f"0{width}b")[::-1]
+    try:
+        picked = itemgetter(*lanes)(digits)
+    except IndexError:  # a lane above both *width* and value's top bit: reads 0
+        return gather_bits(value, lanes, max(lanes) + 1)
+    return int("".join(picked)[::-1], 2)
 
 
 def popcount(value: int) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 from ..netlist.core import Cell, Netlist
 from .backend import PackedLaneMixin
 from .compiled import _TEMPLATES, build_eval_source, cached_codegen, cached_eval_fn
-from .logic import lane_mask
+from .logic import gather_bits, lane_mask
 
 __all__ = ["NumPyWideSimulator", "int_to_words", "words_to_int"]
 
@@ -344,11 +344,7 @@ class NumPyWideSimulator(PackedLaneMixin):
 
     def gather_lanes(self, vec: np.ndarray, lanes) -> int:
         """Pack the selected lanes of *vec* into a dense Python-int mask."""
-        packed = words_to_int(vec)
-        out = 0
-        for j, lane in enumerate(lanes):
-            out |= ((packed >> lane) & 1) << j
-        return out
+        return gather_bits(words_to_int(vec), lanes, self.n_lanes)
 
     def scatter_lanes(self, vec: np.ndarray, lanes, bits: int) -> np.ndarray:
         """Copy of *vec* with lane ``lanes[j]`` set to bit *j* of *bits*."""

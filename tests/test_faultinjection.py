@@ -60,6 +60,49 @@ def test_required_sample_size_matches_paper():
         required_sample_size(0)
 
 
+#: ``required_sample_size(population, margin, confidence)`` over a grid,
+#: recorded with the original ``scipy.stats.norm.ppf`` quantile: the
+#: stdlib ``NormalDist().inv_cdf`` that replaced it may differ by an ulp,
+#: which must never move a rounded-up sample size.
+SAMPLE_SIZE_MARGINS = (0.01, 0.02, 0.025, 0.05, 0.075, 0.1)
+SAMPLE_SIZE_TABLE = {
+    0.9: {
+        None: (6764, 1691, 1083, 271, 121, 68),
+        1: (1, 1, 1, 1, 1, 1),
+        50: (50, 49, 48, 43, 36, 29),
+        1000: (872, 629, 520, 214, 108, 64),
+        172040: (6509, 1675, 1076, 271, 121, 68),
+        10**7: (6760, 1691, 1083, 271, 121, 68),
+    },
+    0.95: {
+        None: (9604, 2401, 1537, 385, 171, 97),
+        1: (1, 1, 1, 1, 1, 1),
+        50: (50, 49, 49, 45, 39, 34),
+        1000: (906, 707, 607, 278, 146, 88),
+        172040: (9096, 2368, 1523, 384, 171, 96),
+        10**7: (9595, 2401, 1537, 385, 171, 97),
+    },
+    0.99: {
+        None: (16588, 4147, 2654, 664, 295, 166),
+        1: (1, 1, 1, 1, 1, 1),
+        50: (50, 50, 50, 47, 43, 39),
+        1000: (944, 806, 727, 400, 228, 143),
+        172040: (15129, 4050, 2614, 661, 295, 166),
+        10**7: (16560, 4146, 2654, 664, 295, 166),
+    },
+}
+
+
+@pytest.mark.parametrize("confidence", sorted(SAMPLE_SIZE_TABLE))
+def test_required_sample_size_table(confidence):
+    for population, expected in SAMPLE_SIZE_TABLE[confidence].items():
+        got = tuple(
+            required_sample_size(population, margin, confidence)
+            for margin in SAMPLE_SIZE_MARGINS
+        )
+        assert got == expected, (confidence, population)
+
+
 def test_required_sample_size_edge_cases():
     # A one-element universe needs exactly its one sample, whatever the
     # margin or prior.

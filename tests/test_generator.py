@@ -106,3 +106,24 @@ def test_mesh_and_pipeline_golden_traces_compute():
     golden = workload.testbench.run_golden()
     assert len(set(golden.ff_state)) > 4
     assert len(set(golden.outputs)) > 1, "outputs must respond to stimulus"
+
+
+def test_generate_dataset_labels_generated_circuit():
+    """A generated preset's netlist carries a structural name (``mesh_tiny``
+    synthesizes ``mesh2x4x8``); the engine must validate a
+    ``build_context(spec)`` context against the circuit it was built for,
+    so the dataset flow can label generated circuits."""
+    from repro.campaigns import CampaignEngine, CampaignSpec, build_context
+    from repro.data import DatasetSpec, generate_dataset
+
+    spec = DatasetSpec(circuit="mesh_tiny", n_frames=2, n_injections=2)
+    dataset, campaign = generate_dataset(spec)
+    assert get_circuit("mesh_tiny").name != "mesh_tiny"
+    assert len(campaign.results) == GENERATED_FF_COUNTS["mesh_tiny"]
+    assert all(r.n_injections == 2 for r in campaign.results.values())
+    assert len(dataset.y) == GENERATED_FF_COUNTS["mesh_tiny"]
+
+    # The recorded circuit still guards against a context for another one.
+    context = build_context(CampaignSpec(circuit="mesh_tiny", n_injections=2))
+    with pytest.raises(ValueError, match="built for circuit 'mesh_tiny'"):
+        CampaignEngine(CampaignSpec(circuit="mesh_2k", n_injections=2), context=context)

@@ -315,6 +315,33 @@ def test_engine_progress_throttle_regression(tmp_path):
     assert calls[-1] == (total, total)
 
 
+def test_sequential_rounds_emit_progress_events():
+    """Sequential campaigns report through the same throttled progress path
+    as flat ones: per-round shard counts, tagged with the round number."""
+    spec = tiny_spec(n_injections=40, policy="sequential", target_margin=0.15)
+    calls = []
+    with use_telemetry(Telemetry()) as telemetry:
+        sink = telemetry.add_sink(MemorySink(events=("progress",)))
+        engine = CampaignEngine(
+            spec,
+            jobs=1,
+            progress=lambda done, total: calls.append((done, total)),
+            progress_interval=0.0,
+        )
+        engine.run()
+        gauges = telemetry.registry.snapshot().to_payload()["gauges"]
+    report = engine.last_report
+    assert report.rounds > 1
+    events = sink.records
+    assert [e["round"] for e in events] == list(range(1, report.rounds + 1))
+    assert all(e["scope"] == "campaign" and e["unit"] == "shards" for e in events)
+    assert all(e["done"] == e["total"] == 1 for e in events)  # one shard per round
+    assert sum(e["injections"] > 0 for e in events) == report.rounds
+    assert events[-1]["injections"] == report.executed_lanes
+    assert calls == [(1, 1)] * report.rounds
+    assert gauges["campaign.injections_per_sec"]["max"] > 0
+
+
 # ------------------------------------------------------------------- sinks
 
 

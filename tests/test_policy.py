@@ -310,6 +310,20 @@ def test_sequential_is_deterministic():
     )
 
 
+def test_sequential_runs_one_shard_per_worker_per_round():
+    """Each round is one trace sweep per worker: exactly ``min(jobs,
+    buckets)`` shards, and the flat-path ``shards_per_job`` knob leaves the
+    sequential result untouched."""
+    spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
+    engine = CampaignEngine(spec, jobs=2)
+    result = engine.run()
+    report = engine.last_report
+    assert report.rounds > 1
+    assert report.n_shards == 2 * report.rounds
+    resharded = CampaignEngine(spec, jobs=2, shards_per_job=7).run()
+    assert result_key(resharded) == result_key(result)
+
+
 def test_sequential_engine_store_round_trip(tmp_path):
     spec = tiny_spec(n_injections=40, target_margin=0.15, policy="sequential")
     first = CampaignEngine(spec, cache_dir=tmp_path)

@@ -23,6 +23,7 @@ from repro.faultinjection import (
 )
 from repro.netlist.levelize import ff_spread_masks, levelize
 from repro.sim import BACKEND_NAMES, ScheduleBuilder, Testbench, create_backend
+from repro.sim.logic import gather_bits
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,54 @@ def test_gather_scatter_roundtrip(tiny_mac, backend):
     sim.resize_lanes(23)
     narrow = sim.scatter_lanes(sim.broadcast(0), range(23), gathered)
     assert sim.vec_to_int(narrow) == gathered
+
+
+def gather_by_definition(vec, lanes):
+    """Bit *j* of the result is lane ``lanes[j]`` of *vec*, one lane at a time."""
+    out = 0
+    for j, lane in enumerate(lanes):
+        out |= ((vec >> lane) & 1) << j
+    return out
+
+
+def lane_subset(rng, width, kind):
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [rng.randrange(width)]
+    if kind == "full":
+        return list(range(width))
+    return sorted(rng.sample(range(width), rng.randint(1, width)))
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.one_of(st.integers(1, 130), st.integers(1, 5000)),
+    kind=st.sampled_from(["empty", "single", "full", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_lanes_matches_per_lane_definition(tiny_mac, backend, width, kind, seed):
+    sim = create_backend(backend, tiny_mac, n_lanes=width)
+    rng = random.Random(seed)
+    packed = rng.getrandbits(width)
+    vec = sim.scatter_lanes(sim.broadcast(0), range(width), packed)
+    lanes = lane_subset(rng, width, kind)
+    assert sim.gather_lanes(vec, lanes) == gather_by_definition(packed, lanes)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 4096, 5000])
+@pytest.mark.parametrize("kind", ["empty", "single", "full", "random"])
+def test_gather_bits_edge_widths(width, kind):
+    rng = random.Random(width)
+    lanes = lane_subset(rng, width, kind)
+    for value in (0, (1 << width) - 1, rng.getrandbits(width)):
+        assert gather_bits(value, lanes, width) == gather_by_definition(value, lanes)
+        # A narrower width hint than the value or the lanes need.
+        assert gather_bits(value, lanes, 1) == gather_by_definition(value, lanes)
+    high = [width + 3, width]  # unordered lanes beyond the width
+    assert gather_bits((1 << width) - 1, high, width) == 0
+    assert gather_bits(1 << (width + 3), high, width) == 0b1
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
