@@ -3,7 +3,7 @@
 Throughput numbers for the pieces whose cost the paper's methodology is
 designed to avoid or amortize: synthesis, golden simulation, the bit-parallel
 fault-injection campaign, and feature extraction — plus the **per-backend
-lanes/sec sweep** that justifies the pluggable simulation substrate.
+lanes/sec sweep** that compares the compiled and fused engines.
 
 Run the sweep standalone (this is where the acceptance numbers come from)::
 
@@ -11,11 +11,11 @@ Run the sweep standalone (this is where the acceptance numbers come from)::
 
 It measures, on the chosen seed circuit:
 
-* ``eval_comb``+``tick`` throughput (lane-cycles/second) for every cycle
+* ``eval_comb``+``tick`` throughput (lane-cycles/second) of the cycle
   backend at several lane widths, normalized against the **seed baseline**
   (``CompiledSimulator`` at the campaign default of 256 lanes), and
-* full ``FaultInjector.run_batch`` sweep throughput for the compiled,
-  numpy and fused substrates.
+* full ``FaultInjector.run_batch`` sweep throughput for the compiled and
+  fused engines.
 
 Through pytest(-benchmark) the module keeps the original micro-benchmarks
 on the tiny MAC so CI stays fast.
@@ -45,7 +45,6 @@ SEED_LANES = 256
 #: (backend, lane widths) measured by the standalone sweep.
 SWEEP_CONFIGS = [
     ("compiled", (256, 1024)),
-    ("numpy", (4096, 16384, 65536, 131072)),
 ]
 
 

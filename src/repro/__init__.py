@@ -12,8 +12,8 @@ The package is organized bottom-up, mirroring the paper's flow (Fig. 1):
     Benchmark designs, most importantly the 10GE-MAC-style core and its
     frame-streaming workload.
 ``repro.sim``
-    The pluggable simulation substrate (:mod:`repro.sim.backend`): compiled
-    bit-parallel, NumPy wide-batch and fused-sweep production engines plus
+    The simulation substrate (:mod:`repro.sim.backend`): the compiled
+    bit-parallel cycle simulator and the fused sweep kernel plus
     the event-driven (0/1/X) simulator, testbench framework and activity
     tracing.  See ``docs/simulators.md`` for the backend comparison.
 ``repro.faultinjection``

@@ -53,8 +53,8 @@ class CampaignSpec:
       lets the result store extend a cached *n*-injection campaign to
       *m > n* injections by simulating only the ``m - n`` delta.
 
-    ``backend`` selects the simulation substrate (``"compiled"``,
-    ``"numpy"`` or ``"fused"``; see :mod:`repro.sim.backend`) and
+    ``backend`` selects the simulation engine (``"compiled"`` or
+    ``"fused"``; see :mod:`repro.sim.backend`) and
     ``scheduler`` the execution strategy (``"adaptive"`` lane refill across
     injection cycles — the default — or ``"batch"`` per-time-slot forward
     runs; see :mod:`repro.faultinjection.scheduler`).  Per-lane verdicts

@@ -36,7 +36,7 @@ same circuit (``--fault-model`` picks the target label family; default
 The ``campaign`` command runs the parallel campaign engine directly
 (``stream`` schedule, so repeated runs with growing ``--injections`` only
 simulate the delta) and prints its economics; ``--backend
-{compiled,numpy,fused}`` selects the simulation substrate (see
+{compiled,fused}`` selects the simulation engine (see
 ``docs/simulators.md``) without affecting results, and ``--fault-model``
 swaps the injected fault family (cache identities stay separate per
 model).

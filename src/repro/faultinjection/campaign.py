@@ -180,13 +180,12 @@ class StatisticalFaultCampaign:
         Reuse a previously recorded golden trace (otherwise recorded here).
     max_lanes:
         Cap on bit-parallel lanes per forward run.  256 is a good trade-off
-        for the default compiled backend in CPython; the ``numpy`` backend
-        profits from much wider batches (thousands of lanes).
+        for the default compiled backend in CPython.
     check_interval:
         Cycles between the injector's early-retirement checks.
     backend:
-        Simulation substrate (``"compiled"``, ``"numpy"`` or ``"fused"``,
-        see :mod:`repro.sim.backend`); results are backend-invariant.
+        Simulation engine (``"compiled"`` or ``"fused"``, see
+        :mod:`repro.sim.backend`); results are backend-invariant.
     scheduler:
         Execution strategy: ``"adaptive"`` (lane refill across injection
         cycles, default) or ``"batch"`` (one forward run per time slot).

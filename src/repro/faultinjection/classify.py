@@ -12,10 +12,9 @@ exactly this over the packet receive interface:
 
 Criteria are *bound* to a simulator once (resolving net names to indices)
 and then evaluated per cycle over all bit-parallel fault lanes at once.
-Binding and evaluation are backend-agnostic: any
-:class:`~repro.sim.backend.SimBackend` works, because evaluation only uses
-``& | ^`` on lane vectors (Python ints on the compiled backend, ``uint64``
-lane blocks on the numpy backend).
+Binding and evaluation only need the
+:class:`~repro.sim.backend.SimBackend` surface: evaluation uses ``& | ^``
+on lane vectors (Python ints on the compiled backend).
 """
 
 from __future__ import annotations

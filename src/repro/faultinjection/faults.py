@@ -373,9 +373,9 @@ class StuckAtModel(FaultModel):
     """Persistent stuck-at fault: Q forced to a constant from injection on.
 
     The forcing is re-asserted at the start of every cycle of the
-    observation window (before the combinational settle), on compiled and
-    NumPy backends alike; the injector falls back from the fused sweep
-    kernel to the cycle substrate for these lanes.  Stuck lanes are
+    observation window (before the combinational settle) on the compiled
+    cycle substrate; the injector falls back from the fused sweep kernel to
+    that substrate for these lanes.  Stuck lanes are
     excluded from convergence-based early retirement — a stuck bit that
     currently matches golden can still diverge later.
     """

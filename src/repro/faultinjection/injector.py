@@ -18,22 +18,20 @@ ingredients make the paper's full flat campaign tractable:
    only in, say, a statistics counter is provably benign and does not keep
    the batch alive.
 
-The forward simulation runs on a pluggable substrate (see
+The forward simulation runs on one of two engines (see
 :mod:`repro.sim.backend`): ``backend="compiled"`` packs lanes into Python
-integers, ``backend="numpy"`` evaluates ``uint64`` lane blocks for wide
-batches, and ``backend="fused"`` code-generates one specialized sweep kernel
-per (circuit, workload) that runs the whole batch loop in a single generated
-function (:mod:`repro.sim.fused`).  All three produce bit-identical
-verdicts and latencies — cross-checked per fuzz seed by
-:mod:`repro.verify.diff`.
+integers and steps the cycle simulator, and ``backend="fused"``
+code-generates one specialized sweep kernel per (circuit, workload) that
+runs the whole batch loop in a single generated function
+(:mod:`repro.sim.fused`).  Both produce bit-identical verdicts and
+latencies — cross-checked per fuzz seed by :mod:`repro.verify.diff`.
 
 Campaigns should prefer :meth:`FaultInjector.run_scheduled` over many
 :meth:`run_batch` calls: the adaptive scheduler
 (:mod:`repro.faultinjection.scheduler`) activates each injection at its own
 cycle inside one long-lived forward pass, refills lanes freed by early
-retirement, compacts drained batches and gates evaluation on the divergence
-cone — same verdicts, a multiple of the throughput (see
-``docs/performance.md``).
+retirement and compacts drained batches — same verdicts, a multiple of the
+throughput (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -136,8 +134,8 @@ class FaultInjector:
         Cycles between early-retirement convergence checks (trade-off:
         smaller intervals retire lanes sooner but check more often).
     backend:
-        Simulation substrate: ``"compiled"`` (default), ``"numpy"``, or
-        ``"fused"``.  Verdicts and latencies are backend-invariant.
+        Simulation engine: ``"compiled"`` (default) or ``"fused"``.
+        Verdicts and latencies are backend-invariant.
     fault_model:
         A :class:`~repro.faultinjection.faults.FaultModel`, a registry spec
         string (``"mbu:size=3,radius=1,seed=0"``), or ``None`` for the
@@ -178,10 +176,9 @@ class FaultInjector:
             else None
         )
         # The fused engine replaces the per-cycle loop, not the cycle
-        # simulator itself; SET injection and net bookkeeping still run on
-        # the compiled substrate underneath it.
-        cycle_backend = "compiled" if backend == "fused" else backend
-        self.sim = create_backend(cycle_backend, netlist, n_lanes=1)
+        # simulator itself; SET injection, forcing models and net
+        # bookkeeping still run on the compiled substrate underneath it.
+        self.sim = create_backend("compiled", netlist, n_lanes=1)
         self._criterion = criterion.bind(netlist, self.sim)
         self._fused: Optional[FusedSweepKernel] = None
 
@@ -277,11 +274,10 @@ class FaultInjector:
         injections: Sequence[Tuple[int, int]],
         horizon: Optional[int] = None,
         max_lanes: Optional[int] = None,
-        cone_gating: str = "auto",
         progress=None,
     ):
         """Run many ``(cycle, ff_index)`` injections through one adaptive
-        scheduler (lane refill across cycles, compaction, cone gating).
+        scheduler (lane refill across cycles, compaction).
 
         Returns a :class:`~repro.faultinjection.scheduler.ScheduledOutcome`
         whose verdicts/latencies are bit-identical to one
@@ -290,9 +286,7 @@ class FaultInjector:
         """
         from .scheduler import AdaptiveScheduler
 
-        scheduler = AdaptiveScheduler(
-            self, max_lanes=max_lanes, cone_gating=cone_gating
-        )
+        scheduler = AdaptiveScheduler(self, max_lanes=max_lanes)
         return scheduler.run(injections, horizon=horizon, progress=progress)
 
     def fused_kernel(self) -> FusedSweepKernel:
@@ -494,8 +488,8 @@ class FaultInjector:
         simulation.  Electrical and sub-cycle temporal de-rating are below
         this model's time resolution, as discussed in the paper's section II.
 
-        SET sweeps always run on the cycle substrate (compiled or numpy);
-        the fused kernel only specializes flip-flop SEU sweeps.
+        SET sweeps always run on the compiled cycle substrate; the fused
+        kernel only specializes flip-flop SEU sweeps.
         """
         golden = self.golden
         if not 0 <= cycle < golden.n_cycles:
@@ -620,8 +614,8 @@ class FaultInjector:
         values = sim.values
         grel = self.relevant_golden(cycle)
         # Early-exit once every lane diverged, but only probe periodically:
-        # vec_is_full is a method call (and an array reduction on the numpy
-        # backend), so checking per flip-flop would dominate the sweep.
+        # vec_is_full is a method call, so checking per flip-flop would
+        # dominate the sweep.
         for k, (q_idx, _ff_index) in enumerate(self._relevant_pairs):
             golden = mask if (grel >> k) & 1 else 0
             diff = diff | (values[q_idx] ^ golden)

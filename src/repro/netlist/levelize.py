@@ -1,119 +1,25 @@
-"""Build-time levelization of a netlist into topologically ordered partitions.
+"""Transitive source/sink masks of a netlist's combinational logic.
 
-The cycle simulators evaluate every combinational gate every cycle.  For
-fault simulation that is usually far more work than necessary: a faulty run
-deviates from the golden trajectory only inside the *cone of divergence* —
-the logic transitively fed by flip-flops (or reactive loopback inputs) whose
-value currently differs from golden.  To skip the rest of the circuit
-soundly, the evaluation order must be cut into units whose dependencies are
-known *at build time*:
-
-* the combinational cells are sorted by logic level (every cell's fan-in
-  lives at a strictly smaller level) and chunked into **partitions** of
-  roughly ``target_cells`` cells.  Any chunking of the level-sorted order is
-  topologically valid, so each partition can be compiled into its own
-  evaluation callable (see :func:`repro.sim.compiled.build_eval_source`);
-* every partition carries the **transitive source masks** of its cells: which
-  flip-flop outputs and which primary inputs can influence any net the
-  partition computes.  At run time, a partition whose sources carry no
-  diverging lane provably computes golden values and can be skipped;
-* every partition carries its **predecessor closure**: the set of partitions
-  that must have been evaluated for its own inputs to be current.  Consumers
-  (flip-flop D/RN pins, failure-criterion nets, loopback taps) turn their
-  divergence state into a "need set" by OR-ing the closures of the
-  partitions that drive them.
-
-The module is pure netlist analysis — it knows nothing about lanes, golden
-traces or criteria.  :mod:`repro.faultinjection.scheduler` combines these
-masks with the injector's divergence frontier to gate evaluation.
+Pure netlist analysis, computed once per design in topological order: for
+every net, which flip-flop outputs and primary inputs can influence it
+(:func:`source_masks`) and which flip-flop data pins and primary outputs it
+can influence (:func:`sink_masks`).  The vectorized feature extractor
+(:mod:`repro.features.vectorized`) builds its cone statistics on these
+masks, and :func:`ff_spread_masks` turns them into the one-tick flip-flop
+adjacency that places MBU clusters (:mod:`repro.faultinjection.faults`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .core import Netlist
 
 __all__ = [
-    "Partition",
-    "LevelizedDesign",
-    "levelize",
     "ff_spread_masks",
     "source_masks",
     "sink_masks",
 ]
-
-#: Default partition size.  Small partitions gate more precisely but cost one
-#: extra dispatch per partition per cycle; ~100 cells keeps dispatch below a
-#: percent of evaluation cost on CPython while still splitting the xgmac
-#: netlist into ~50 independently skippable units.
-DEFAULT_TARGET_CELLS = 96
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One topologically closed chunk of the combinational logic.
-
-    Attributes
-    ----------
-    index:
-        Position in evaluation order (partition *i* only reads nets produced
-        by partitions ``< i``, flip-flop outputs and primary inputs).
-    cells:
-        Member cell names in valid intra-partition evaluation order.
-    ff_mask / input_mask:
-        Transitive sources: bit *i* of ``ff_mask`` is set when flip-flop *i*
-        (``netlist.flip_flops()`` order) can influence a net this partition
-        computes; ``input_mask`` likewise over ``netlist.inputs``.
-    closure_mask:
-        This partition and all transitive predecessors as a bitmask over
-        partition indices — the evaluation set needed to make every net of
-        this partition current.
-    """
-
-    index: int
-    cells: Tuple[str, ...]
-    ff_mask: int
-    input_mask: int
-    closure_mask: int
-
-
-@dataclass
-class LevelizedDesign:
-    """Partitioning of one netlist plus per-net source/producer maps.
-
-    ``net_partition`` maps a combinational-cell-driven net to the partition
-    that computes it; flip-flop outputs and primary inputs are absent (their
-    values are maintained by the tick/stimulus machinery, never by a
-    partition).  ``net_ff_mask`` / ``net_input_mask`` give every net's
-    transitive sources in the same bit order as :class:`Partition`.
-    """
-
-    netlist: Netlist
-    partitions: List[Partition]
-    net_partition: Dict[str, int]
-    net_ff_mask: Dict[str, int]
-    net_input_mask: Dict[str, int]
-
-    @property
-    def n_partitions(self) -> int:
-        return len(self.partitions)
-
-    def source_masks(self, net: str) -> Tuple[int, int]:
-        """``(ff_mask, input_mask)`` of the transitive sources of *net*."""
-        return self.net_ff_mask.get(net, 0), self.net_input_mask.get(net, 0)
-
-    def closure_of_net(self, net: str) -> int:
-        """Partitions that must be evaluated for *net* to be current.
-
-        Zero for nets driven by a flip-flop or primary input — those are
-        always current.
-        """
-        part = self.net_partition.get(net)
-        if part is None:
-            return 0
-        return self.partitions[part].closure_mask
 
 
 def source_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -123,9 +29,7 @@ def source_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
     (``netlist.flip_flops()`` order) can influence net *n* through
     combinational logic only; ``net_input_mask`` likewise over
     ``netlist.inputs``.  Seeded at the sequential/input roots and propagated
-    in topological order — any topological order is valid, so this is the
-    partition-free core that both :func:`levelize` and the vectorized
-    feature extractor build on.
+    in topological order (any topological order is valid).
     """
     ff_index = {ff.name: i for i, ff in enumerate(netlist.flip_flops())}
     input_index = {name: i for i, name in enumerate(netlist.inputs)}
@@ -152,78 +56,10 @@ def source_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
     return net_ff_mask, net_input_mask
 
 
-def levelize(
-    netlist: Netlist, target_cells: int = DEFAULT_TARGET_CELLS
-) -> LevelizedDesign:
-    """Partition *netlist*'s combinational logic into level-ordered chunks.
-
-    Cells are stably sorted by logic level (topological-order ties), so any
-    contiguous chunking respects dependencies: a cell at level *L* reads only
-    nets produced at levels ``< L`` (or flip-flop/primary-input sources).
-    """
-    if target_cells < 1:
-        raise ValueError("target_cells must be >= 1")
-    order = netlist.topological_comb_order()
-    depth = netlist.logic_depth()
-
-    net_ff_mask, net_input_mask = source_masks(netlist)
-
-    # Stable level-major order: sort the topological order by level.
-    position = {name: i for i, name in enumerate(order)}
-    levelized = sorted(order, key=lambda c: (depth[netlist.cells[c].output_net()], position[c]))
-
-    # Chunk into partitions and resolve producer partitions per net.
-    chunks: List[List[str]] = [
-        levelized[i : i + target_cells] for i in range(0, len(levelized), target_cells)
-    ] or []
-    net_partition: Dict[str, int] = {}
-    for index, cells in enumerate(chunks):
-        for cell_name in cells:
-            net_partition[netlist.cells[cell_name].output_net()] = index
-
-    partitions: List[Partition] = []
-    for index, cells in enumerate(chunks):
-        fm = im = 0
-        direct = 0
-        for cell_name in cells:
-            cell = netlist.cells[cell_name]
-            out = cell.output_net()
-            fm |= net_ff_mask.get(out, 0)
-            im |= net_input_mask.get(out, 0)
-            for in_net in cell.input_nets():
-                producer = net_partition.get(in_net)
-                if producer is not None and producer != index:
-                    direct |= 1 << producer
-        closure = direct | (1 << index)
-        # Predecessors are strictly earlier, so their closures are final.
-        remaining = direct
-        while remaining:
-            low = remaining & -remaining
-            closure |= partitions[low.bit_length() - 1].closure_mask
-            remaining ^= low
-        partitions.append(
-            Partition(
-                index=index,
-                cells=tuple(cells),
-                ff_mask=fm,
-                input_mask=im,
-                closure_mask=closure,
-            )
-        )
-
-    return LevelizedDesign(
-        netlist=netlist,
-        partitions=partitions,
-        net_partition=net_partition,
-        net_ff_mask=net_ff_mask,
-        net_input_mask=net_input_mask,
-    )
-
-
 def sink_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Transitive *sink* masks per net: ``(net_ff_sink_mask, net_output_mask)``.
 
-    The mirror image of the source masks :func:`levelize` computes: bit *i*
+    The mirror image of :func:`source_masks`: bit *i*
     of ``net_ff_sink_mask[n]`` is set when net *n* can influence the data
     input (D/RN — clock pins excluded) of flip-flop *i* through combinational
     logic only; ``net_output_mask`` likewise over ``netlist.outputs``.  These
@@ -265,16 +101,14 @@ def sink_masks(netlist: Netlist) -> Tuple[Dict[str, int], Dict[str, int]]:
     return ff_sink, out_mask
 
 
-def ff_spread_masks(netlist: Netlist, design: Optional[LevelizedDesign] = None) -> List[int]:
+def ff_spread_masks(netlist: Netlist) -> List[int]:
     """One-tick divergence adjacency between flip-flops.
 
     ``masks[i]`` has bit *j* set when flip-flop *j* can become diverging one
     clock edge after flip-flop *i* diverged — i.e. *i*'s Q lies in the
-    combinational fan-in cone of *j*'s D or RN pin.  Used to expand the
-    divergence frontier conservatively between exact checks.
+    combinational fan-in cone of *j*'s D or RN pin.
     """
-    if design is None:
-        design = levelize(netlist)
+    net_ff_mask, _net_input_mask = source_masks(netlist)
     flip_flops = netlist.flip_flops()
     masks = [0] * len(flip_flops)
     for j, ff in enumerate(flip_flops):
@@ -282,7 +116,7 @@ def ff_spread_masks(netlist: Netlist, design: Optional[LevelizedDesign] = None) 
         for pin in ("D", "RN"):
             net = ff.connections.get(pin)
             if net is not None:
-                cone |= design.net_ff_mask.get(net, 0)
+                cone |= net_ff_mask.get(net, 0)
         target = 1 << j
         while cone:
             low = cone & -cone

@@ -1,8 +1,8 @@
 """Simulation engines behind the pluggable cycle substrate.
 
-Three production engines (compiled bit-parallel, NumPy wide-batch, fused
-sweep kernel) plus the event-driven 0/1/X simulator, the testbench
-framework, and activity tracing.  See :mod:`repro.sim.backend` for the
+Two production engines (the compiled bit-parallel cycle simulator and the
+fused sweep kernel generated from it) plus the event-driven 0/1/X
+simulator, the testbench framework, and activity tracing.  See :mod:`repro.sim.backend` for the
 :class:`SimBackend` protocol and ``docs/simulators.md`` for when to use
 which engine.
 """
@@ -14,7 +14,6 @@ from .event import ClockGenerator, EventDrivenSimulator
 from .fused import FusedSweepKernel
 from .logic import ONE, X, ZERO, broadcast, eval3, extract_lane, lane_mask, popcount
 from .testbench import GoldenTrace, LoopbackPath, ScheduleBuilder, Testbench
-from .vectorized import NumPyWideSimulator
 
 __all__ = [
     "ActivityTrace",
@@ -27,7 +26,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "CompiledSimulator",
-    "NumPyWideSimulator",
     "FusedSweepKernel",
     "ClockGenerator",
     "EventDrivenSimulator",

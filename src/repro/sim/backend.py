@@ -1,4 +1,4 @@
-"""Pluggable cycle-simulation substrate: the :class:`SimBackend` protocol.
+"""Cycle-simulation substrate: the :class:`SimBackend` protocol.
 
 Everything above the simulators — testbenches, the fault injector, the
 campaign engine, the differential harness — drives a *cycle backend* through
@@ -10,12 +10,8 @@ maps backend names to implementations:
 ``compiled``
     :class:`~repro.sim.compiled.CompiledSimulator` — generated Python code,
     one statement per gate, lanes packed into the bits of a Python integer.
-    Best at small lane counts (the campaign default is 256 lanes).
-``numpy``
-    :class:`~repro.sim.vectorized.NumPyWideSimulator` — the same generated
-    statements evaluated over a ``uint64`` lane-block array, so one gate
-    evaluation covers thousands of lanes and the per-gate interpreter
-    overhead is amortized across the whole block.
+    The only cycle backend: golden traces, forcing fault models (stuck-at,
+    intermittent) and SET sweeps all run on it.
 ``fused``
     Not a cycle backend: :class:`~repro.sim.fused.FusedSweepKernel`
     code-generates one specialized function per (circuit, workload) that
@@ -27,18 +23,17 @@ maps backend names to implementations:
 
 Lane algebra
 ------------
-Fault-simulation code is generic over the lane representation: a *lane
-vector* is an opaque value supporting ``& | ^ ~`` (a Python ``int`` for the
-compiled backend, a ``uint64`` ndarray for the NumPy backend).  The protocol
-methods :meth:`SimBackend.broadcast`, :meth:`SimBackend.lane_vec`,
+Fault-simulation code is written against a *lane vector*: a value
+supporting ``& | ^ ~`` (a Python ``int`` on the compiled backend).  The
+protocol methods :meth:`SimBackend.broadcast`, :meth:`SimBackend.lane_vec`,
 :meth:`SimBackend.read_vec`, :meth:`SimBackend.vec_to_int`,
 :meth:`SimBackend.vec_any` and :meth:`SimBackend.vec_is_full` are the only
-places a consumer needs to care which representation it is holding.  The
-adaptive injection scheduler adds three more ops to the algebra:
+places a consumer touches that representation.  The adaptive injection
+scheduler adds three more ops to the algebra:
 :meth:`SimBackend.gather_lanes` / :meth:`SimBackend.scatter_lanes` move
 individual lanes between vectors (lane compaction and mixed-cycle refill),
 and :meth:`SimBackend.diverging_rows` probes many net rows against golden
-bits at once (the divergence frontier behind cone-gated evaluation).
+bits at once (the early-retirement test).
 """
 
 from __future__ import annotations
@@ -68,11 +63,11 @@ __all__ = [
 ]
 
 #: Every backend selectable through ``--backend`` / ``FaultInjector``.
-BACKEND_NAMES: Tuple[str, ...] = ("compiled", "numpy", "fused")
+BACKEND_NAMES: Tuple[str, ...] = ("compiled", "fused")
 
 #: Backends that implement the full :class:`SimBackend` cycle protocol
 #: (``fused`` operates at sweep granularity instead).
-CYCLE_BACKENDS: Tuple[str, ...] = ("compiled", "numpy")
+CYCLE_BACKENDS: Tuple[str, ...] = ("compiled",)
 
 
 @runtime_checkable
@@ -85,7 +80,7 @@ class SimBackend(Protocol):
     *j*) regardless of the backend's internal lane representation.
     """
 
-    #: Registry name of the backend ("compiled", "numpy", ...).
+    #: Registry name of the backend (``"compiled"``).
     name: str
     netlist: "Netlist"
     n_lanes: int
@@ -165,13 +160,12 @@ class SimBackend(Protocol):
 
     def diverging_rows(
         self, row_golden: "Sequence[Tuple[int, int]]", active: object
-    ) -> "Tuple[object, int]":
+    ) -> object:
         """Active-lane divergence of value rows vs. broadcast golden bits.
 
-        For ``(value_idx, golden_bit)`` pairs returns ``(diff, rows)``:
-        *diff* is the lane vector of active lanes where any row deviates and
-        bit *k* of *rows* marks row *k* as deviating — the per-flip-flop
-        frontier probe behind cone-gated evaluation.
+        For ``(value_idx, golden_bit)`` pairs returns the lane vector of
+        active lanes where any row deviates — the scheduler's retirement
+        probe.
         """
         ...
 
@@ -223,15 +217,8 @@ def _make_compiled(netlist: "Netlist", n_lanes: int) -> SimBackend:
     return CompiledSimulator(netlist, n_lanes=n_lanes)
 
 
-def _make_numpy(netlist: "Netlist", n_lanes: int) -> SimBackend:
-    from .vectorized import NumPyWideSimulator
-
-    return NumPyWideSimulator(netlist, n_lanes=n_lanes)
-
-
 _FACTORIES: Dict[str, Callable[["Netlist", int], SimBackend]] = {
     "compiled": _make_compiled,
-    "numpy": _make_numpy,
 }
 
 

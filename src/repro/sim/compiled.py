@@ -14,10 +14,8 @@ instances at once.  Because every gate evaluation is a CPython big-int
 operation, cost grows with the integer width: the sweet spot is a few
 hundred lanes (the campaign default is 256), which is what makes the paper's
 full flat campaign (≈1054 flip-flops × 170 injections) feasible in pure
-Python.  For thousands of lanes per pass use the NumPy wide-batch backend
-(:class:`~repro.sim.vectorized.NumPyWideSimulator`), which evaluates the
-same generated statements over ``uint64`` lane-block arrays; for whole
-injection sweeps use the fused kernel (:mod:`repro.sim.fused`).
+Python.  For whole injection sweeps use the fused kernel
+(:mod:`repro.sim.fused`), which inlines the same gate templates.
 
 Clock handling is cycle-based: clock nets are forced to 0 and every call to
 :meth:`CompiledSimulator.tick` represents one rising edge.
@@ -26,7 +24,7 @@ Clock handling is cycle-based: clock nets are forced to 0 and every call to
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.core import Cell, Netlist, NetlistError
 from .backend import PackedLaneMixin
@@ -71,34 +69,21 @@ def build_eval_source(
     netlist: Netlist,
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
-    templates: Optional[Dict[str, str]] = None,
-    cells: Optional[Sequence[str]] = None,
 ) -> str:
     """Generate the combinational-settle function source for *netlist*.
 
     Returns the source of ``_eval(v, m, fb)``: one statement per gate in
-    levelized order, reading and writing ``v[i]`` lane vectors under the
-    all-ones mask ``m``.  The statements only use ``& | ^ ~`` and indexing,
-    so the same source works for any lane representation whose rows support
-    those operators — Python integers (:class:`CompiledSimulator`) and
-    ``uint64`` ndarray blocks (:class:`~repro.sim.vectorized.NumPyWideSimulator`)
-    alike.  Cells without a template are appended to *fallback_cells* as
-    ``(function, out_index, in_indices)`` and dispatched through ``fb``.
-
-    *templates* overrides the default expression table (the numpy backend
-    substitutes cheaper ``^ m`` forms for the inverting gates).  *cells*
-    restricts generation to a subset of combinational cells (must already be
-    in a valid evaluation order) — this is how one callable per levelized
-    partition is built for cone-gated evaluation.
+    levelized order, reading and writing ``v[i]`` lane vectors (Python
+    integers) under the all-ones mask ``m``.  Cells without a template are
+    appended to *fallback_cells* as ``(function, out_index, in_indices)``
+    and dispatched through ``fb``.
     """
-    table = _TEMPLATES if templates is None else templates
     lines = ["def _eval(v, m, fb):"]
-    order = netlist.topological_comb_order() if cells is None else list(cells)
-    for cell_name in order:
+    for cell_name in netlist.topological_comb_order():
         cell = netlist.cells[cell_name]
         out = net_index[cell.output_net()]
         ins = [net_index[n] for n in cell.input_nets()]
-        template = table.get(cell.ctype.name)
+        template = _TEMPLATES.get(cell.ctype.name)
         if template is None:
             idx = len(fallback_cells)
             fallback_cells.append((cell.ctype.function, out, tuple(ins)))
@@ -122,8 +107,8 @@ def build_eval_source(
 # cost seconds).  Every simulator built for the same netlist generates the
 # *same* source — the net index is the netlist's own deterministic
 # enumeration — so the compiled code objects are cached per netlist and
-# per flavor ("int" vs "numpy" templates, plain vs gated tick).  Keyed
-# weakly: dropping the last netlist reference drops its code objects.
+# per function (settle, tick).  Keyed weakly: dropping the last netlist
+# reference drops its code objects.
 # ``exec`` of a cached code object only materializes a function object,
 # which is orders of magnitude cheaper than parsing the source again.
 
@@ -144,25 +129,22 @@ def cached_eval_fn(
     netlist: Netlist,
     net_index: Mapping[str, int],
     fallback_cells: List[Tuple[Callable, int, Tuple[int, ...]]],
-    templates: Optional[Dict[str, str]] = None,
-    flavor: str = "int",
 ) -> Callable:
     """Compile-once-per-netlist variant of :func:`build_eval_source` + exec.
 
     The generated source bakes fallback-dispatch indices starting at 0, so
     *fallback_cells* must be the (empty) per-instance table the returned
     function will be called with; the cached fallback entries are re-extended
-    into it.  *flavor* namespaces the cache per template table ("int" /
-    "numpy") — the cell/net counts in the key guard against a netlist
-    mutated after its code was cached.
+    into it.  The cell/net counts in the key guard against a netlist mutated
+    after its code was cached.
     """
-    key = ("eval", flavor, len(netlist.cells), len(netlist.nets))
+    key = ("eval", len(netlist.cells), len(netlist.nets))
     cache = _cache_for(netlist)
     entry = cache.get(key)
     if entry is None:
         fresh: List[Tuple[Callable, int, Tuple[int, ...]]] = []
-        source = build_eval_source(netlist, net_index, fresh, templates=templates)
-        code = compile(source, f"<repro-eval-{flavor}:{netlist.name}>", "exec")
+        source = build_eval_source(netlist, net_index, fresh)
+        code = compile(source, f"<repro-eval:{netlist.name}>", "exec")
         entry = (code, tuple(fresh))
         cache[key] = entry
     code, entries = entry
@@ -175,7 +157,7 @@ def cached_eval_fn(
 def cached_codegen(
     netlist: Netlist, key: tuple, fn_name: str, build_source: Callable[[], str]
 ) -> Callable:
-    """Per-netlist cached compile of a generated function (tick flavors).
+    """Per-netlist cached compile of a generated function (the tick).
 
     *build_source* is only invoked on a cache miss; the returned function is
     a fresh object bound to a fresh namespace, so instances never share
@@ -268,62 +250,8 @@ class CompiledSimulator(PackedLaneMixin):
         return "\n".join(lines)
 
     def _compile_tick(self) -> Callable[[List[int], int], None]:
-        key = ("tick", "int", len(self.netlist.cells))
+        key = ("tick", len(self.netlist.cells))
         return cached_codegen(self.netlist, key, "_tick", self._build_tick_source)
-
-    # ------------------------------------------------- partitioned evaluation
-
-    def compile_partition_evals(
-        self, partitions: Sequence[Sequence[str]]
-    ) -> List[Callable[[List[int], int, list], None]]:
-        """Compile one ``_eval``-style callable per cell partition.
-
-        Each entry of *partitions* must be a valid intra-partition evaluation
-        order (see :func:`repro.netlist.levelize.levelize`); calling every
-        callable in partition order is equivalent to one :meth:`eval_comb`
-        pass minus the clock forcing.  All callables share this simulator's
-        fallback-cell table.
-        """
-        fns: List[Callable[[List[int], int, list], None]] = []
-        for cells in partitions:
-            source = build_eval_source(
-                self.netlist, self.net_index, self._fallback_cells, cells=cells
-            )
-            namespace: Dict[str, object] = {}
-            exec(source, namespace)  # noqa: S102 - generated from our own netlist
-            fns.append(namespace["_eval"])  # type: ignore[arg-type]
-        return fns
-
-    def compile_gated_tick(self) -> Callable[[List[int], int, int, int], None]:
-        """Compile a clock edge gated per flip-flop by a golden-write mask.
-
-        Returns ``_tick_gated(v, m, gw, gs)``: flip-flop *i* latches normally
-        when bit *i* of ``gw`` is clear, and is instead overwritten with the
-        broadcast golden bit *i* of ``gs`` (the packed golden state *after*
-        the edge) when set.  The scheduler uses this to avoid evaluating the
-        D-cone of flip-flops that provably hold golden values.
-        """
-        key = ("tick", "int-gated", len(self.netlist.cells))
-        return cached_codegen(
-            self.netlist, key, "_tick_gated", self._build_gated_tick_source
-        )
-
-    def _build_gated_tick_source(self) -> str:
-        lines = ["def _tick_gated(v, m, gw, gs):"]
-        assigns = []
-        for i, (q, d, rn) in enumerate(zip(self._ff_q, self._ff_d, self._ff_rn)):
-            lines.append(f"    if (gw >> {i}) & 1:")
-            lines.append(f"        t{i} = m if (gs >> {i}) & 1 else 0")
-            lines.append("    else:")
-            if rn is None:
-                lines.append(f"        t{i} = v[{d}]")
-            else:
-                lines.append(f"        t{i} = v[{d}] & v[{rn}]")
-            assigns.append(f"    v[{q}] = t{i}")
-        lines.extend(assigns)
-        if not self._ff_q:
-            lines.append("    pass")
-        return "\n".join(lines)
 
     # -------------------------------------------------------------- control
 
@@ -478,26 +406,20 @@ class CompiledSimulator(PackedLaneMixin):
         self,
         row_golden: Sequence[Tuple[int, int]],
         active: int,
-    ) -> Tuple[int, int]:
+    ) -> int:
         """Active-lane divergence of value rows against broadcast golden bits.
 
         *row_golden* is a sequence of ``(value_idx, golden_bit)`` pairs.
-        Returns ``(diff, rows)``: ``diff`` is the union of diverging lanes
-        (active lanes where any row differs from its golden bit) and bit *k*
-        of ``rows`` is set when row *k* itself diverges — the per-flip-flop
-        frontier probe the cone-gated scheduler runs at every retirement
-        check.
+        Returns the union of diverging lanes: active lanes where any row
+        differs from its golden bit — the retirement probe the adaptive
+        scheduler runs at every check.
         """
         diff = 0
-        rows = 0
         values = self.values
         mask = self.mask
-        for k, (idx, bit) in enumerate(row_golden):
-            d = (values[idx] ^ (mask if bit else 0)) & active
-            if d:
-                diff |= d
-                rows |= 1 << k
-        return diff, rows
+        for idx, bit in row_golden:
+            diff |= (values[idx] ^ (mask if bit else 0)) & active
+        return diff
 
     # ----------------------------------------------------------------- misc
 

@@ -22,7 +22,7 @@ runs the golden-trace replay and **all fault lanes of a sweep in one pass**:
 
 Lanes are packed into Python integers exactly like
 :class:`~repro.sim.compiled.CompiledSimulator`, so verdicts and error
-latencies are bit-identical to the compiled and numpy substrates — the
+latencies are bit-identical to the compiled substrate — the
 differential harness (:mod:`repro.verify.diff`) checks this on every fuzz
 seed.  Select it with ``FaultInjector(..., backend="fused")``.
 

@@ -4,9 +4,8 @@ Runs every production simulation engine and the independent reference
 oracle on identical fuzzed stimulus and reports the *first divergence* as a
 (net, cycle, per-backend values) record:
 
-* **lane differential** — each cycle backend
-  (:class:`~repro.sim.compiled.CompiledSimulator` and
-  :class:`~repro.sim.vectorized.NumPyWideSimulator`) with several
+* **lane differential** — the cycle backend
+  (:class:`~repro.sim.compiled.CompiledSimulator`) with several
   bit-parallel lanes, each lane carrying a *different* random stimulus
   stream, checked net-by-net and cycle-by-cycle against one
   :class:`~repro.verify.oracle.OracleSimulator` per lane.  This covers both
@@ -20,17 +19,17 @@ oracle on identical fuzzed stimulus and reports the *first divergence* as a
   lane packing, early retirement and reactive loopback replay) is replayed
   as a single-lane brute-force oracle re-simulation that uses none of those
   optimisations; verdict or error-latency mismatches are divergences.  The
-  check runs once per enrolled injector backend — ``compiled``, ``numpy``
-  and the ``fused`` sweep kernel — against a *shared* brute-force referee,
+  check runs once per enrolled injector backend — ``compiled`` and the
+  ``fused`` sweep kernel — against a *shared* brute-force referee,
   so swapping substrates can never silently change campaign outcomes;
 * **scheduled-vs-naive replay** — the adaptive injection scheduler
   (:class:`~repro.faultinjection.scheduler.AdaptiveScheduler`: mixed-cycle
-  lane refill, compaction/repack, cone-gated evaluation) runs a
-  mixed-cycle request set per enrolled backend and every per-injection
-  verdict/latency is compared against a naive per-cycle
+  lane refill, compaction/repack) runs a mixed-cycle request set per
+  enrolled backend and every per-injection verdict/latency is compared
+  against a naive per-cycle
   :meth:`~repro.faultinjection.injector.FaultInjector.run_batch` replay of
   the same injections.  Small lane budgets force multi-pass refill and
-  repack; ``cone_gating="on"`` exercises the partition-skipping path.
+  repack.
 
 ``verify_seed``/``verify_seeds`` tie the three together over fuzzed circuits
 and are what ``python -m repro.experiments verify`` and the CI fuzz stage
@@ -433,16 +432,15 @@ def run_scheduler_check(
     Every flip-flop is injected at a handful of seed-drawn cycles.  The
     whole mixed-cycle request set runs through one scheduler per enrolled
     backend — with a deliberately tiny ``max_lanes`` so activation refill,
-    deferral across passes and repack compaction all trigger, and with
-    ``cone_gating="on"`` on the cycle substrates so partition skipping and
-    the gated tick are exercised — and each verdict/latency is compared to
-    the naive same-cycle :meth:`FaultInjector.run_batch` replay.
+    deferral across passes and repack compaction all trigger — and each
+    verdict/latency is compared to the naive same-cycle
+    :meth:`FaultInjector.run_batch` replay.
 
     When the fuzzed testbench has loopback paths, the criterion observes
     only the *non-loopback* outputs.  That keeps divergence that travels
     through a tap invisible until it re-emerges downstream — exactly the
-    propagation the cone-gating frontier must follow across loopback
-    edges, which an all-outputs criterion (every tap source directly
+    propagation the retirement probe must follow through the loopback
+    slots, which an all-outputs criterion (every tap source directly
     observable) could never put under test.
     """
     testbench = generate_testbench(netlist, spec)
@@ -486,9 +484,7 @@ def run_scheduler_check(
         injector = FaultInjector(
             netlist, testbench, golden, criterion, check_interval=4, backend=backend
         )
-        scheduled = injector.run_scheduled(
-            requests, max_lanes=max_lanes, cone_gating="on"
-        )
+        scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
         label = f"scheduled[{backend}]"
         for k, (request, want, got) in enumerate(
             zip(requests, expected, scheduled.verdicts)
@@ -533,8 +529,7 @@ def run_generated_check(
        :meth:`FaultInjector.run_batch` and each verdict/latency replayed as
        a brute-force oracle re-simulation;
     2. the same request set runs through the adaptive scheduler with a tiny
-       lane budget and ``cone_gating="on"``, compared against the naive
-       batch verdicts.
+       lane budget, compared against the naive batch verdicts.
 
     Returns ``(divergences, comparisons)``; deterministic for a given
     ``(circuit, seed)``.
@@ -592,9 +587,7 @@ def run_generated_check(
                     return divergences, checked
 
     requests = [(cycle, ff_idx) for cycle in cycles for ff_idx in ff_indices]
-    scheduled = injector.run_scheduled(
-        requests, max_lanes=max_lanes, cone_gating="on"
-    )
+    scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
     for k, (request, want, got) in enumerate(
         zip(requests, expected, scheduled.verdicts)
     ):
@@ -652,9 +645,8 @@ def run_fault_model_check(
     * cross-backend agreement falls out of the above (all backends are
       diffed against one referee);
     * the adaptive scheduler's mixed-cycle verdicts vs. the brute-force
-      reference, with a tiny ``max_lanes`` and ``cone_gating="on"`` so
-      refill, repack and the forced-frontier gating all trigger under
-      forcing models.
+      reference, with a tiny ``max_lanes`` so refill and repack trigger
+      under forcing models.
     """
     testbench = generate_testbench(netlist, spec)
     golden = testbench.run_golden()
@@ -729,9 +721,7 @@ def run_fault_model_check(
             (failed, latency if failed else None) for failed, latency in expected
         ]
         for backend, injector in injectors.items():
-            scheduled = injector.run_scheduled(
-                requests, max_lanes=max_lanes, cone_gating="on"
-            )
+            scheduled = injector.run_scheduled(requests, max_lanes=max_lanes)
             label = f"{model_spec}-scheduled[{backend}]"
             for k, (request, want, got) in enumerate(
                 zip(requests, normalized, scheduled.verdicts)

@@ -23,13 +23,11 @@ from repro.faultinjection import (
 )
 from repro.sim import (
     BACKEND_NAMES,
-    CYCLE_BACKENDS,
-    NumPyWideSimulator,
     ScheduleBuilder,
     Testbench,
     create_backend,
 )
-from repro.sim.vectorized import int_to_words, words_to_int
+from repro.verify.oracle import OracleSimulator
 
 NEW_BACKENDS = [b for b in BACKEND_NAMES if b != "compiled"]
 
@@ -39,73 +37,44 @@ NEW_BACKENDS = [b for b in BACKEND_NAMES if b != "compiled"]
 
 @pytest.mark.parametrize("circuit", ["counter16", "lfsr16", "gray8"])
 def test_cycle_parity_random_stimulus(circuit):
-    """compiled and numpy backends agree net-for-net under random stimulus."""
+    """The compiled backend agrees net-for-net with one reference oracle per
+    lane under random per-lane stimulus."""
     netlist = get_circuit(circuit)
     n_lanes = 5
-    sims = {name: create_backend(name, netlist, n_lanes=n_lanes) for name in CYCLE_BACKENDS}
-    for sim in sims.values():
-        sim.reset()
+    sim = create_backend("compiled", netlist, n_lanes=n_lanes)
+    sim.reset()
+    oracles = [OracleSimulator(netlist) for _ in range(n_lanes)]
+    for oracle in oracles:
+        oracle.reset()
     rng = random.Random(2024)
     inputs = list(netlist.inputs)
+    clocks = set(netlist.clocks)
     for _cycle in range(24):
         drives = {name: rng.getrandbits(n_lanes) for name in inputs}
-        for sim in sims.values():
-            for name, lanes in drives.items():
-                sim.set_input_lanes(name, lanes)
-            sim.eval_comb()
-        reference = sims["compiled"]
-        for other_name in CYCLE_BACKENDS:
-            if other_name == "compiled":
+        for name, lanes in drives.items():
+            sim.set_input_lanes(name, lanes)
+            for lane, oracle in enumerate(oracles):
+                oracle.set_input(name, (lanes >> lane) & 1)
+        sim.eval_comb()
+        for oracle in oracles:
+            oracle.eval_comb()
+        for net in netlist.nets:
+            if net in clocks:
                 continue
-            other = sims[other_name]
-            for net in netlist.nets:
-                assert other.get(net) == reference.get(net), (net, other_name)
-        for sim in sims.values():
-            sim.tick()
-
-
-def test_numpy_multiword_lanes():
-    """Lane counts beyond one 64-bit word stay lane-independent."""
-    netlist = get_circuit("counter8")
-    n_lanes = 130  # 3 words, partial tail
-    wide = NumPyWideSimulator(netlist, n_lanes=n_lanes)
-    narrow = create_backend("compiled", netlist, n_lanes=n_lanes)
-    for sim in (wide, narrow):
-        sim.reset()
-    rng = random.Random(7)
-    for _ in range(12):
-        for name in netlist.inputs:
-            lanes = rng.getrandbits(n_lanes)
-            wide.set_input_lanes(name, lanes)
-            narrow.set_input_lanes(name, lanes)
-        wide.eval_comb()
-        narrow.eval_comb()
-        for net in netlist.outputs:
-            assert wide.get(net) == narrow.get(net)
-        assert wide.ff_state_packed(lane=129) == narrow.ff_state_packed(lane=129)
-        wide.tick()
-        narrow.tick()
-
-
-def test_numpy_lane_algebra_and_words():
-    netlist = get_circuit("counter8")
-    sim = NumPyWideSimulator(netlist, n_lanes=70)
-    assert words_to_int(int_to_words(0x5A5A5A5A5A5A5A5A5A, 2)) == 0x5A5A5A5A5A5A5A5A5A
-    assert sim.vec_to_int(sim.broadcast(1)) == (1 << 70) - 1
-    assert sim.vec_to_int(sim.broadcast(0)) == 0
-    assert sim.vec_to_int(sim.lane_vec(69)) == 1 << 69
-    assert sim.vec_any(sim.lane_vec(0))
-    assert not sim.vec_any(sim.broadcast(0))
-    assert sim.vec_is_full(sim.broadcast(1))
-    assert not sim.vec_is_full(sim.lane_vec(3))
+            for lane, oracle in enumerate(oracles):
+                assert sim.get_bit(net, lane) == oracle.get(net), (net, lane)
+        sim.tick()
+        for oracle in oracles:
+            oracle.tick()
 
 
 def test_create_backend_rejects_fused_and_unknown():
     netlist = get_circuit("counter8")
     with pytest.raises(ValueError, match="fused"):
         create_backend("fused", netlist)
-    with pytest.raises(ValueError, match="unknown backend"):
-        create_backend("verilator", netlist)
+    for name in ("verilator", "numpy"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            create_backend(name, netlist)
 
 
 # --------------------------------------------------------- injector parity
@@ -165,14 +134,14 @@ def test_injector_parity_tiny_mac(backend, tiny_mac, tiny_workload, tiny_golden)
         assert got.cycles_simulated == want.cycles_simulated
 
 
-def test_set_batch_parity_numpy(tiny_mac, tiny_workload, tiny_golden):
-    """SET sweeps run on the cycle substrate: numpy must match compiled."""
+def test_set_batch_parity_fused(tiny_mac, tiny_workload, tiny_golden):
+    """SET sweeps run on the compiled cycle substrate under either engine."""
     criterion = PacketInterfaceCriterion(
         tiny_workload.valid_nets, tiny_workload.data_nets
     )
     reference = FaultInjector(tiny_mac, tiny_workload.testbench, tiny_golden, criterion)
     candidate = FaultInjector(
-        tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend="numpy"
+        tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend="fused"
     )
     first, _last = tiny_workload.active_window
     nets = [c.output_net() for c in tiny_mac.combinational_cells()[:12]]
@@ -204,10 +173,11 @@ def test_injector_rejects_unknown_backend(tiny_mac, tiny_workload, tiny_golden):
     criterion = PacketInterfaceCriterion(
         tiny_workload.valid_nets, tiny_workload.data_nets
     )
-    with pytest.raises(ValueError, match="unknown backend"):
-        FaultInjector(
-            tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend="gpu"
-        )
+    for name in ("gpu", "numpy"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            FaultInjector(
+                tiny_mac, tiny_workload.testbench, tiny_golden, criterion, backend=name
+            )
 
 
 # ----------------------------------------------------------- campaign spec
@@ -225,8 +195,9 @@ def test_spec_backend_excluded_from_cache_identity():
 
 
 def test_spec_backend_validation_and_roundtrip():
-    with pytest.raises(ValueError, match="unknown backend"):
-        CampaignSpec(backend="verilator")
+    for name in ("verilator", "numpy"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            CampaignSpec(backend=name)
     spec = CampaignSpec(backend="fused")
     assert CampaignSpec.from_dict(spec.to_dict()) == spec
     # Payloads written before the backend field existed load with the default.

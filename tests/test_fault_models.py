@@ -300,7 +300,7 @@ def test_batch_matches_bruteforce_replay(strict_parts, model):
 @pytest.mark.parametrize("model", MODEL_SPECS)
 def test_scheduled_matches_naive_per_model_and_backend(strict_parts, model, backend):
     """Scheduling stays invisible under forcing and multi-flip models: the
-    adaptive scheduler (refill, repack, cone gating, forced lanes pinned)
+    adaptive scheduler (refill, repack, forced lanes pinned)
     equals the naive per-cycle batch replay on every backend."""
     netlist, workload, golden, criterion = strict_parts
     injector = FaultInjector(
@@ -314,7 +314,7 @@ def test_scheduled_matches_naive_per_model_and_backend(strict_parts, model, back
         (rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(40)
     ]
     expected = naive_verdicts(injector, requests)
-    outcome = injector.run_scheduled(requests, max_lanes=6, cone_gating="on")
+    outcome = injector.run_scheduled(requests, max_lanes=6)
     assert outcome.verdicts == expected
     assert outcome.stats.activations == len(requests)
 

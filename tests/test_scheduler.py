@@ -1,8 +1,8 @@
 """Adaptive injection scheduler: equivalence, boundaries, lane algebra.
 
 The scheduler's contract is that scheduling is *invisible*: whatever lane a
-request lands in, however often the batch is compacted, repacked or
-cone-gated, every injection's verdict and error latency must equal a naive
+request lands in, however often the batch is compacted or repacked, every
+injection's verdict and error latency must equal a naive
 :meth:`FaultInjector.run_batch` replay of the same ``(cycle, ff)`` pair.
 """
 
@@ -21,8 +21,14 @@ from repro.faultinjection import (
     FaultInjector,
     PacketInterfaceCriterion,
 )
-from repro.netlist.levelize import ff_spread_masks, levelize
-from repro.sim import BACKEND_NAMES, ScheduleBuilder, Testbench, create_backend
+from repro.netlist.levelize import ff_spread_masks, sink_masks, source_masks
+from repro.sim import (
+    BACKEND_NAMES,
+    CYCLE_BACKENDS,
+    ScheduleBuilder,
+    Testbench,
+    create_backend,
+)
 from repro.sim.logic import gather_bits
 
 
@@ -67,19 +73,6 @@ def test_scheduled_matches_naive_per_backend(tiny_parts, backend):
     outcome = injector.run_scheduled(requests, max_lanes=32)
     assert outcome.verdicts == expected
     assert outcome.stats.activations == len(requests)
-
-
-@pytest.mark.parametrize("cone_gating", ["on", "auto", "off"])
-def test_cone_gating_modes_are_invisible(tiny_parts, cone_gating):
-    netlist, workload, golden, criterion = tiny_parts
-    injector = FaultInjector(netlist, workload.testbench, golden, criterion)
-    first, last = workload.active_window
-    rng = random.Random(7)
-    n_ffs = injector.sim.n_flip_flops
-    requests = [(rng.randrange(first, last), rng.randrange(n_ffs)) for _ in range(60)]
-    expected = naive_verdicts(injector, requests)
-    scheduler = AdaptiveScheduler(injector, max_lanes=6, cone_gating=cone_gating)
-    assert scheduler.run(requests).verdicts == expected
 
 
 # ----------------------------------------------------------------- boundaries
@@ -162,8 +155,8 @@ def test_deferred_requests_roll_over_to_later_passes(tiny_parts):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
-    """Property: for random request sets, lane budgets, backends and gating
-    modes, scheduled verdicts/latencies equal the naive replay."""
+    """Property: for random request sets, lane budgets, backends and
+    horizons, scheduled verdicts/latencies equal the naive replay."""
     netlist, workload, golden, criterion = tiny_parts
     backend = data.draw(st.sampled_from(list(BACKEND_NAMES)))
     injector = FaultInjector(
@@ -181,19 +174,16 @@ def test_compaction_refill_never_changes_verdict_or_latency(tiny_parts, data):
         )
     )
     max_lanes = data.draw(st.integers(1, 24))
-    cone_gating = data.draw(st.sampled_from(["auto", "on", "off"]))
     horizon = data.draw(st.one_of(st.none(), st.integers(1, 30)))
     expected = naive_verdicts(injector, requests, horizon=horizon)
-    scheduler = AdaptiveScheduler(
-        injector, max_lanes=max_lanes, cone_gating=cone_gating
-    )
+    scheduler = AdaptiveScheduler(injector, max_lanes=max_lanes)
     assert scheduler.run(requests, horizon=horizon).verdicts == expected
 
 
 # ------------------------------------------------------------- lane algebra
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("backend", CYCLE_BACKENDS)
 def test_gather_scatter_roundtrip(tiny_mac, backend):
     sim = create_backend(backend, tiny_mac, n_lanes=70)
     rng = random.Random(1)
@@ -226,7 +216,7 @@ def lane_subset(rng, width, kind):
     return sorted(rng.sample(range(width), rng.randint(1, width)))
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("backend", CYCLE_BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(
     width=st.one_of(st.integers(1, 130), st.integers(1, 5000)),
@@ -256,35 +246,39 @@ def test_gather_bits_edge_widths(width, kind):
     assert gather_bits(1 << (width + 3), high, width) == 0b1
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("backend", CYCLE_BACKENDS)
 def test_diverging_rows_probe(tiny_mac, backend):
     sim = create_backend(backend, tiny_mac, n_lanes=5)
     sim.reset()
     q0 = sim._ff_q[0]
     q1 = sim._ff_q[1]
     sim.values[q0] = sim.scatter_lanes(sim.broadcast(0), [2], 1)  # lane 2 high
-    diff, rows = sim.diverging_rows(
-        [(q0, 0), (q1, 0)], sim.broadcast(1)
-    )
+    diff = sim.diverging_rows([(q0, 0), (q1, 0)], sim.broadcast(1))
     assert sim.vec_to_int(diff) == 0b00100
-    assert rows == 0b01
     # Inactive lanes are masked out of the probe.
-    diff, rows = sim.diverging_rows([(q0, 0)], sim.lane_vec(0))
+    diff = sim.diverging_rows([(q0, 0)], sim.lane_vec(0))
     assert sim.vec_to_int(diff) == 0
-    assert rows == 0
 
 
 def test_levelize_covers_and_orders_all_cells(tiny_mac):
-    design = levelize(tiny_mac, target_cells=64)
-    cells = [c for p in design.partitions for c in p.cells]
-    assert sorted(cells) == sorted(tiny_mac.topological_comb_order())
-    # Every partition only reads nets produced by earlier partitions,
-    # flip-flops or primary inputs.
-    for partition in design.partitions:
-        for cell_name in partition.cells:
-            for net in tiny_mac.cells[cell_name].input_nets():
-                producer = design.net_partition.get(net)
-                assert producer is None or producer <= partition.index
-        assert partition.closure_mask & (1 << partition.index)
-    spread = ff_spread_masks(tiny_mac, design)
+    order = tiny_mac.topological_comb_order()
+    comb = [c.name for c in tiny_mac.combinational_cells()]
+    assert sorted(order) == sorted(comb)
+    # Every cell only reads nets produced by earlier cells, flip-flops or
+    # primary inputs -- the order the mask propagation relies on.
+    position = {name: i for i, name in enumerate(order)}
+    for cell_name in order:
+        for net in tiny_mac.cells[cell_name].input_nets():
+            driver = tiny_mac.nets[net].driver
+            if driver is None or tiny_mac.cells[driver.cell].is_sequential:
+                continue
+            assert position[driver.cell] < position[cell_name]
+    # The masks cover every combinational output net.
+    net_ff_mask, net_input_mask = source_masks(tiny_mac)
+    ff_sink, out_mask = sink_masks(tiny_mac)
+    for cell_name in order:
+        out = tiny_mac.cells[cell_name].output_net()
+        assert out in net_ff_mask and out in net_input_mask
+        assert out in ff_sink and out in out_mask
+    spread = ff_spread_masks(tiny_mac)
     assert len(spread) == len(tiny_mac.flip_flops())

@@ -15,7 +15,7 @@ from repro.features import CircuitGraph, FeatureExtractor, compute_circuit_stats
 from repro.features.extractor import ENGINES
 from repro.features.structural import extract_structural
 from repro.features.synthesis import extract_synthesis
-from repro.netlist.levelize import sink_masks, source_masks
+from repro.netlist.levelize import ff_spread_masks, sink_masks, source_masks
 
 
 @pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS + ["xgmac_tiny"])
@@ -55,6 +55,9 @@ def test_sink_masks_mirror_source_masks(counter_netlist):
     ff_sink, out_mask = sink_masks(counter_netlist)
     flip_flops = counter_netlist.flip_flops()
     clock_nets = set(counter_netlist.clocks)
+    # The one-tick FF adjacency (MBU placement) is the forward relation.
+    spread = ff_spread_masks(counter_netlist)
+    assert len(spread) == len(flip_flops)
     # Forward: FF i reaches FF j's data cone  <=>  reverse: j in sinks of Qi.
     for j, ff in enumerate(flip_flops):
         sources = 0
@@ -65,6 +68,7 @@ def test_sink_masks_mirror_source_masks(counter_netlist):
             forward = bool((sources >> i) & 1)
             reverse = bool((ff_sink.get(src.output_net(), 0) >> j) & 1)
             assert forward == reverse
+            assert bool((spread[i] >> j) & 1) == forward
     # Every primary output is in its own net's output mask.
     for idx, net in enumerate(counter_netlist.outputs):
         assert (out_mask[net] >> idx) & 1
@@ -90,6 +94,11 @@ def test_sink_masks_shift_register():
     assert out_mask[q0] == 0
     q2 = nl.cells["ff_s[2]"].output_net()
     assert out_mask[q2] == 1 << nl.outputs.index("dout")
+    # One clock edge moves divergence exactly one stage down the chain.
+    spread = ff_spread_masks(nl)
+    assert spread[ff_index["ff_s[0]"]] == 1 << ff_index["ff_s[1]"]
+    assert spread[ff_index["ff_s[1]"]] == 1 << ff_index["ff_s[2]"]
+    assert spread[ff_index["ff_s[2]"]] == 0
 
 
 @pytest.mark.parametrize("circuit", ["counter8", "fifo4x4", "crc32", "fsm_ctrl"])

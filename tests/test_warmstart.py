@@ -174,7 +174,7 @@ def test_warm_context_hits_within_family_and_fixes_double_build():
     ctx, hit = warm_context(spec)
     assert not hit
     # Same family, different budget/backend: one resident context serves all.
-    again, hit = warm_context(tiny_spec(n_injections=40, backend="numpy"))
+    again, hit = warm_context(tiny_spec(n_injections=40, backend="fused"))
     assert hit and again is ctx
     # A caller-provided context is adopted, not rebuilt (the historical
     # double-build when CampaignEngine(ctx) re-derived it in workers).
